@@ -32,6 +32,8 @@ const HOT_PATH: &[&str] = &[
     "crates/sched/src/fps.rs",
     "crates/sched/src/cache.rs",
     "crates/sched/src/analysis.rs",
+    "crates/sched/src/heuristic/mod.rs",
+    "crates/sched/src/heuristic/graph.rs",
     "crates/sched/src/heuristic/repair.rs",
     "crates/sched/src/heuristic/lccd.rs",
     "crates/core/src/pool.rs",
@@ -49,7 +51,10 @@ const DETERMINISM: &[&str] = &[
     "crates/online/src/scenario.rs",
     "crates/sched/src/cache.rs",
     "crates/sched/src/analysis.rs",
+    "crates/sched/src/heuristic/mod.rs",
+    "crates/sched/src/heuristic/graph.rs",
     "crates/sched/src/heuristic/repair.rs",
+    "crates/sched/src/heuristic/lccd.rs",
     "crates/core/src/metrics.rs",
     "crates/core/src/schedule.rs",
 ];

@@ -187,6 +187,24 @@ pub fn upsilon(schedule: &Schedule, jobs: &JobSet) -> f64 {
 /// incremental quality cache refreshes through on its hot path.
 #[must_use]
 pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
+    let index = start_index(schedule);
+    quality_of_starts(jobs, jobs.iter().map(|j| indexed_start(&index, j.id())))
+}
+
+/// Ψ and Υ from per-job starts given in job order (`None` = unplaced),
+/// with no schedule to index: `O(n)`.
+///
+/// This is how the schedulers price a *partial* timeline in a failure
+/// diagnostic straight from their placements. When `starts` holds each
+/// job's entry of some schedule (and job ids are unique, as in every
+/// [`JobSet::expand`] set), the result is bit-identical to
+/// [`quality`] — and so to [`psi`] and [`upsilon`] — on that schedule.
+/// Starts past the job count are ignored; missing ones count as unplaced.
+#[must_use]
+pub fn quality_of_starts(
+    jobs: &JobSet,
+    starts: impl IntoIterator<Item = Option<crate::time::Time>>,
+) -> (f64, f64) {
     if jobs.is_empty() {
         return (1.0, 1.0);
     }
@@ -194,9 +212,8 @@ pub fn quality(schedule: &Schedule, jobs: &JobSet) -> (f64, f64) {
     // `Iterator::sum::<f64>()` folds from -0.0; start there so an empty
     // schedule yields the same bits as `upsilon`.
     let mut achieved = -0.0f64;
-    let index = start_index(schedule);
-    for job in jobs {
-        if let Some(start) = indexed_start(&index, job.id()) {
+    for (job, start) in jobs.iter().zip(starts) {
+        if let Some(start) = start {
             if start == job.ideal_start() {
                 exact += 1;
             }

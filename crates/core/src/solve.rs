@@ -324,6 +324,12 @@ impl SolverCtx {
         self.time_budget.is_some() || self.iteration_budget.is_some()
     }
 
+    /// `true` when a cancellation flag is attached (raised or not).
+    #[must_use]
+    pub fn is_cancellable(&self) -> bool {
+        self.cancel.is_some()
+    }
+
     /// Starts metering this context's budget for one solve call.
     /// The wall-clock budget begins counting *now*.
     #[must_use]
@@ -494,6 +500,8 @@ mod tests {
         let ctx = SolverCtx::new()
             .with_cancel_flag(Arc::clone(&flag))
             .with_iteration_budget(0);
+        assert!(ctx.is_cancellable());
+        assert!(!SolverCtx::new().is_cancellable());
         assert!(!ctx.cancelled());
         flag.store(true, Ordering::Relaxed);
         assert!(ctx.cancelled());

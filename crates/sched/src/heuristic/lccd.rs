@@ -17,8 +17,22 @@
 //!    leftwards (never before their releases), and place the job in the
 //!    coalesced gap.
 //! 3. Otherwise the allocation — and Algorithm 1 — fails (line 19).
+//!
+//! Both cases are indexed so that a failing allocation stays cheap:
+//! the contention count scans only the pending jobs whose windows can
+//! reach a slot, and the shifting case finds each run with two pointers
+//! and prices it from a prefix count of exact placements. Slot choice is
+//! exactly the unindexed one.
+//!
+//! A failed allocation leaves the timeline untouched, so its partial
+//! Ψ/Υ ([`Timeline::quality`]) prices exactly the placements committed
+//! so far — the figure Algorithm 1 and the repair tiers attach to their
+//! `NoFeasibleSlot` diagnostics. It is read straight from the placements
+//! in `O(n)` and is bit-identical to `metrics::psi`/`metrics::upsilon`
+//! on the equivalent schedule.
 
 use tagio_core::job::{Job, JobSet};
+use tagio_core::metrics;
 use tagio_core::schedule::{Schedule, ScheduleEntry};
 use tagio_core::time::{Duration, Time};
 
@@ -71,6 +85,57 @@ pub struct TimelineScratch {
     fitting: Vec<(Time, Time)>,
     candidates: Vec<(usize, usize, usize)>,
     snapshot: Vec<Placed>,
+    near: Vec<usize>,
+    exact_prefix: Vec<usize>,
+}
+
+impl TimelineScratch {
+    /// Partial Ψ/Υ of the placements of the timeline last handed back by
+    /// [`Timeline::recycle_in`] (a failed repair round), using `starts`
+    /// as the per-job work array. Meaningless after any other use of the
+    /// scratch.
+    pub(crate) fn recycled_quality(
+        &self,
+        jobs: &JobSet,
+        starts: &mut Vec<Option<Time>>,
+    ) -> (f64, f64) {
+        placements_quality(jobs, self.placed.iter().map(|p| (p.job, p.start)), starts)
+    }
+}
+
+/// Ψ/Υ of the placements `(job index, start)` in `O(n)`: a per-job start
+/// array (`starts`, reused) summed in job order, so the bits equal
+/// `metrics::quality` of the equivalent schedule. Under `debug-audit`
+/// that equality is checked against `metrics::psi`/`metrics::upsilon`.
+pub(crate) fn placements_quality(
+    jobs: &JobSet,
+    placements: impl Iterator<Item = (usize, Time)> + Clone,
+    starts: &mut Vec<Option<Time>>,
+) -> (f64, f64) {
+    #[cfg(feature = "debug-audit")]
+    let shadow = placements.clone();
+    starts.clear();
+    starts.resize(jobs.len(), None);
+    for (idx, start) in placements {
+        starts[idx] = Some(start);
+    }
+    let quality = metrics::quality_of_starts(jobs, starts.iter().copied());
+    #[cfg(feature = "debug-audit")]
+    {
+        let all = jobs.as_slice();
+        let schedule: Schedule = shadow
+            .map(|(idx, start)| tagio_core::schedule::entry_for(&all[idx], start))
+            .collect();
+        assert_eq!(
+            (quality.0.to_bits(), quality.1.to_bits()),
+            (
+                metrics::psi(&schedule, jobs).to_bits(),
+                metrics::upsilon(&schedule, jobs).to_bits()
+            ),
+            "O(n) partial quality diverged from metrics::psi/upsilon"
+        );
+    }
+    quality
 }
 
 /// The partition timeline during allocation: executions sorted by start.
@@ -83,6 +148,8 @@ pub struct Timeline<'a> {
     fitting: Vec<(Time, Time)>,
     candidates: Vec<(usize, usize, usize)>,
     snapshot: Vec<Placed>,
+    near: Vec<usize>,
+    exact_prefix: Vec<usize>,
 }
 
 impl<'a> Timeline<'a> {
@@ -118,6 +185,8 @@ impl<'a> Timeline<'a> {
             fitting: Vec::new(),
             candidates: Vec::new(),
             snapshot: Vec::new(),
+            near: Vec::new(),
+            exact_prefix: Vec::new(),
         }
     }
 
@@ -174,6 +243,8 @@ impl<'a> Timeline<'a> {
             fitting: std::mem::take(&mut scratch.fitting),
             candidates: std::mem::take(&mut scratch.candidates),
             snapshot: std::mem::take(&mut scratch.snapshot),
+            near: std::mem::take(&mut scratch.near),
+            exact_prefix: std::mem::take(&mut scratch.exact_prefix),
         }
     }
 
@@ -272,6 +343,16 @@ impl<'a> Timeline<'a> {
     /// Attempts to allocate `job_idx` (Algorithm 1 lines 12–20). Returns
     /// `false` when neither a direct fit nor a shifted fit exists.
     pub fn allocate(&mut self, job_idx: usize, pending: &[usize], policy: SlotPolicy) -> bool {
+        self.allocate_start(job_idx, pending, policy).is_some()
+    }
+
+    /// [`Timeline::allocate`], returning the chosen start on success.
+    pub(crate) fn allocate_start(
+        &mut self,
+        job_idx: usize,
+        pending: &[usize],
+        policy: SlotPolicy,
+    ) -> Option<Time> {
         let job = &self.jobs.as_slice()[job_idx];
         let (lo, hi) = (job.release(), job.abs_deadline());
         // The slot buffers live on `self` so repeated allocations reuse
@@ -288,14 +369,18 @@ impl<'a> Timeline<'a> {
                 .filter(|&s| Self::usable(s) >= job.wcet()),
         );
 
-        let placed = if !fitting.is_empty() {
-            let slot = self.pick_slot(&fitting, pending, policy);
-            self.place(job_idx, slot.0, false);
-            true
-        } else {
+        let placed = if fitting.is_empty() {
             // Case 2: coalesce consecutive slots by shifting jobs leftwards.
             let total: Duration = slots.iter().map(|&s| Self::usable(s)).sum();
-            total >= job.wcet() && self.allocate_with_shift(job_idx, &slots)
+            if total >= job.wcet() {
+                self.allocate_with_shift(job_idx, &slots)
+            } else {
+                None
+            }
+        } else {
+            let slot = self.pick_slot(&fitting, pending, policy);
+            self.place(job_idx, slot.0, false);
+            Some(slot.0)
         };
         self.slots = slots;
         self.fitting = fitting;
@@ -303,7 +388,7 @@ impl<'a> Timeline<'a> {
     }
 
     fn pick_slot(
-        &self,
+        &mut self,
         fitting: &[(Time, Time)],
         pending: &[usize],
         policy: SlotPolicy,
@@ -339,84 +424,148 @@ impl<'a> Timeline<'a> {
                 }
             }),
             SlotPolicy::LeastContentionCapacityDecreasing => {
-                // Selection key is (contention, usable, start), minimised.
-                // Slot starts are unique (slots are disjoint), so no two
-                // slots tie on the full key and a manual strict-minimum
-                // loop equals `min_by_key`. That lets the contention count
-                // stop early: once a slot exceeds the best count seen, it
-                // has already lost — on escalated repairs `pending` holds
-                // hundreds of jobs, and the cap turns the O(slots×pending)
-                // scan into nearly O(pending) total.
-                let all = self.jobs.as_slice();
-                let mut best = fitting[0];
-                let mut best_key = (usize::MAX, Duration::ZERO, Time::ZERO);
-                for &slot in fitting {
-                    let cap = best_key.0;
-                    let mut contention = 0usize;
-                    for &p in pending {
-                        let other = &all[p];
-                        let olo = slot.0.max(other.release());
-                        let ohi = slot.1.min(other.abs_deadline());
-                        if ohi.saturating_sub(olo) >= other.wcet() {
-                            contention += 1;
-                            if contention > cap {
-                                break;
-                            }
-                        }
-                    }
-                    let key = (contention, Self::usable(slot), slot.0);
-                    if key < best_key {
-                        best = slot;
-                        best_key = key;
-                    }
-                }
+                let mut near = std::mem::take(&mut self.near);
+                let best = self.least_contended(fitting, pending, &mut near);
+                self.near = near;
                 best
             }
         }
     }
 
+    /// LCC-D slot choice: minimise (contention, usable, start), where a
+    /// slot's contention is the number of `pending` jobs that could also
+    /// be placed in it.
+    ///
+    /// Slot starts are unique (slots are disjoint), so no two slots tie
+    /// on the full key and a strict-minimum loop equals `min_by_key`.
+    /// That lets the count stop early: once a slot exceeds the best count
+    /// seen, it has already lost. And a pending job with positive WCET
+    /// can use a slot only if its window overlaps it, so the count runs
+    /// over an index instead of every pending job: `near` keeps the
+    /// pending jobs whose windows overlap the fitting slots' span, in job
+    /// (= release) order, and each slot scans only the entries released
+    /// before it ends and late enough for the longest window to reach it.
+    /// Zero-WCET jobs fit any slot and are counted once for all.
+    fn least_contended(
+        &self,
+        fitting: &[(Time, Time)],
+        pending: &[usize],
+        near: &mut Vec<usize>,
+    ) -> (Time, Time) {
+        let all = self.jobs.as_slice();
+        let span_lo = fitting[0].0;
+        let span_hi = fitting[fitting.len() - 1].1;
+        near.clear();
+        let mut everywhere = 0usize;
+        let mut reach = Duration::ZERO;
+        for &p in pending {
+            let other = &all[p];
+            if other.wcet().is_zero() {
+                everywhere += 1;
+            } else if other.release() < span_hi && other.abs_deadline() > span_lo {
+                near.push(p);
+                reach = reach.max(other.abs_deadline() - other.release());
+            }
+        }
+        near.sort_unstable();
+        let mut best = fitting[0];
+        let mut best_key = (usize::MAX, Duration::ZERO, Time::ZERO);
+        for &slot in fitting {
+            let cap = best_key.0;
+            let from = near.partition_point(|&p| all[p].release() + reach <= slot.0);
+            let to = near.partition_point(|&p| all[p].release() < slot.1);
+            let mut contention = everywhere;
+            if contention <= cap {
+                for &p in &near[from..to.max(from)] {
+                    let other = &all[p];
+                    let olo = slot.0.max(other.release());
+                    let ohi = slot.1.min(other.abs_deadline());
+                    if ohi.saturating_sub(olo) >= other.wcet() {
+                        contention += 1;
+                        if contention > cap {
+                            break;
+                        }
+                    }
+                }
+            }
+            let key = (contention, Self::usable(slot), slot.0);
+            if key < best_key {
+                best = slot;
+                best_key = key;
+            }
+        }
+        best
+    }
+
     /// Case 2 (lines 15–17): find the run of consecutive slots whose total
     /// usable capacity fits the job while shifting the fewest
     /// timing-accurate jobs; compact those jobs leftwards and place the job
-    /// in the coalesced gap.
-    fn allocate_with_shift(&mut self, job_idx: usize, slots: &[(Time, Time)]) -> bool {
-        let job = &self.jobs.as_slice()[job_idx];
-        let n = slots.len();
+    /// in the coalesced gap. Returns the job's start on success.
+    ///
+    /// Each start slot `a` gets one candidate run `[a..=b]`, the shortest
+    /// that fits (longer runs only shift more jobs). Its end `b` never
+    /// moves left as `a` grows, so two pointers find every run in one
+    /// pass; the placements meeting a run are bounded by two more
+    /// monotone pointers, and its cost — the exact placements among them,
+    /// `window_range` semantics — is a difference of a prefix count.
+    fn allocate_with_shift(&mut self, job_idx: usize, slots: &[(Time, Time)]) -> Option<Time> {
+        let wcet = self.jobs.as_slice()[job_idx].wcet();
+        let (Some(&(span_lo, _)), Some(&(_, span_hi))) = (slots.first(), slots.last()) else {
+            return None;
+        };
+        // Every run's placements lie inside the span's window range.
+        let (first, past) = self.window_range(span_lo, span_hi);
+        let mut exact_prefix = std::mem::take(&mut self.exact_prefix);
+        exact_prefix.clear();
+        exact_prefix.push(0);
+        let mut exact = 0usize;
+        for p in &self.placed[first..past] {
+            exact += usize::from(p.exact);
+            exact_prefix.push(exact);
+        }
         // Candidate runs [a..=b], ranked by (exact jobs shifted, start).
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
-        for a in 0..n {
-            let mut total = Duration::ZERO;
-            for b in a..n {
-                total += Self::usable(slots[b]);
-                if total >= job.wcet() {
-                    let cost = self.exact_between(slots[a].0, slots[b].1);
-                    candidates.push((cost, a, b));
-                    break; // longer runs only shift more jobs
-                }
+        // The run is slots[a..end]; `total` is its usable capacity.
+        let (mut end, mut total) = (0usize, Duration::ZERO);
+        // First placement finishing after slots[a].0, and first starting
+        // at or after slots[end - 1].1.
+        let (mut meet, mut beyond) = (first, first);
+        for a in 0..slots.len() {
+            while end < slots.len() && (end == a || total < wcet) {
+                total += Self::usable(slots[end]);
+                end += 1;
             }
+            if end == a || total < wcet {
+                break; // no run from `a` fits, so none from a later slot
+            }
+            while meet < past && self.placed[meet].finish() <= slots[a].0 {
+                meet += 1;
+            }
+            while beyond < past && self.placed[beyond].start < slots[end - 1].1 {
+                beyond += 1;
+            }
+            let cost = exact_prefix[beyond.max(meet) - first] - exact_prefix[meet - first];
+            candidates.push((cost, a, end - 1));
+            total = total.saturating_sub(Self::usable(slots[a]));
         }
         candidates.sort_unstable();
-        let mut placed = false;
+        let mut placed = None;
         for &(_, a, b) in &candidates {
-            if self.try_compact_and_place(job_idx, slots[a].0, slots[b].1) {
-                placed = true;
+            placed = self.try_compact_and_place(job_idx, slots[a].0, slots[b].1);
+            if placed.is_some() {
                 break;
             }
         }
         self.candidates = candidates;
+        self.exact_prefix = exact_prefix;
         placed
-    }
-
-    /// Number of currently-exact placements inside `[lo, hi)`.
-    fn exact_between(&self, lo: Time, hi: Time) -> usize {
-        let (first, past) = self.window_range(lo, hi);
-        self.placed[first..past].iter().filter(|p| p.exact).count()
     }
 
     /// Shifts every placement inside `[lo, hi)` as early as allowed
     /// (never before its release or `lo`'s preceding boundary), then tries
-    /// to place `job_idx` in the coalesced tail gap. Rolls back on failure.
+    /// to place `job_idx` in the coalesced tail gap, returning its start.
+    /// Rolls back on failure.
     ///
     /// Compaction is deterministic, so the coalesced cursor is first
     /// computed by a read-only dry run; the mutation (and its rollback
@@ -424,7 +573,7 @@ impl<'a> Timeline<'a> {
     /// overwhelmingly *fail* — `allocate_with_shift` tries them in cost
     /// order — and the dry run turns each failure from a full
     /// clone/shift/sort/rollback cycle into a short window walk.
-    fn try_compact_and_place(&mut self, job_idx: usize, lo: Time, hi: Time) -> bool {
+    fn try_compact_and_place(&mut self, job_idx: usize, lo: Time, hi: Time) -> Option<Time> {
         let all = self.jobs.as_slice();
         let job = &all[job_idx];
         let (first, past) = self.window_range(lo, hi);
@@ -443,7 +592,7 @@ impl<'a> Timeline<'a> {
         let gap_lo = cursor.max(job.release());
         let gap_hi = hi.min(job.abs_deadline());
         if gap_hi.saturating_sub(gap_lo) < job.wcet() {
-            return false;
+            return None;
         }
 
         // Rollback snapshot into the reusable buffer: `clone_from` keeps
@@ -470,10 +619,10 @@ impl<'a> Timeline<'a> {
             && self.is_free(gap_lo, gap_lo + job.wcet())
         {
             self.place(job_idx, gap_lo, false);
-            true
+            Some(gap_lo)
         } else {
             std::mem::swap(&mut self.placed, &mut snapshot);
-            false
+            None
         };
         self.snapshot = snapshot;
         placed
@@ -500,6 +649,18 @@ impl<'a> Timeline<'a> {
         self.placed.insert(pos, placed);
     }
 
+    /// Partial Ψ/Υ of the placements committed so far, in `O(n)` —
+    /// bit-identical to `metrics::psi`/`metrics::upsilon` of
+    /// [`Timeline::into_schedule`]'s result (job ids being unique).
+    #[must_use]
+    pub fn quality(&self) -> (f64, f64) {
+        placements_quality(
+            self.jobs,
+            self.placed.iter().map(|p| (p.job, p.start)),
+            &mut Vec::new(),
+        )
+    }
+
     /// Finalises the timeline into a [`Schedule`].
     #[must_use]
     pub fn into_schedule(self) -> Schedule {
@@ -510,7 +671,7 @@ impl<'a> Timeline<'a> {
     /// `scratch` so the next [`Timeline::with_placements_in`] reuses
     /// their capacity.
     #[must_use]
-    pub fn into_schedule_in(mut self, scratch: &mut TimelineScratch) -> Schedule {
+    pub fn into_schedule_in(self, scratch: &mut TimelineScratch) -> Schedule {
         let schedule = self
             .placed
             .iter()
@@ -520,12 +681,21 @@ impl<'a> Timeline<'a> {
                 duration: p.wcet,
             })
             .collect();
+        self.recycle_in(scratch);
+        schedule
+    }
+
+    /// Hands the timeline's buffers back to `scratch` without building a
+    /// schedule (a failed attempt). The placements stay readable through
+    /// [`TimelineScratch::recycled_quality`] until the scratch is reused.
+    pub(crate) fn recycle_in(mut self, scratch: &mut TimelineScratch) {
         scratch.placed = std::mem::take(&mut self.placed);
         scratch.slots = std::mem::take(&mut self.slots);
         scratch.fitting = std::mem::take(&mut self.fitting);
         scratch.candidates = std::mem::take(&mut self.candidates);
         scratch.snapshot = std::mem::take(&mut self.snapshot);
-        schedule
+        scratch.near = std::mem::take(&mut self.near);
+        scratch.exact_prefix = std::mem::take(&mut self.exact_prefix);
     }
 
     /// Number of placements currently at their ideal instants.

@@ -16,7 +16,12 @@
 //! diagnostic when phase three fails — like the paper, it deliberately
 //! stops rather than recursively displacing allocated jobs (which could
 //! prevent termination; §III.A). The diagnostic names the unplaceable
-//! job and carries the partial Ψ/Υ of the placements committed so far.
+//! job and always carries the partial Ψ/Υ of the placements committed so
+//! far ([`Timeline::quality`]: read from the placements in `O(n)`,
+//! bit-identical to `metrics::psi`/`metrics::upsilon` of the partial
+//! schedule). It is the diagnostic a failing repair ladder surfaces; see
+//! [the `repair` module](mod@repair) for which incremental-tier
+//! diagnostics carry partial Ψ/Υ.
 
 pub mod graph;
 pub mod lccd;
@@ -33,7 +38,6 @@ pub use repair::{
 use crate::scheduler::Scheduler;
 use crate::solve::check_capacity;
 use tagio_core::job::JobSet;
-use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
 use tagio_core::solve::{Infeasible, InfeasibleCause};
 
@@ -118,14 +122,10 @@ impl Scheduler for StaticScheduler {
             if !timeline.allocate(idx, pending, self.policy) {
                 // Algorithm 1 line 19: {infeasible, 0} — enriched with
                 // where the allocation died and how far it got.
-                let unplaced = all[idx].id();
-                let partial = timeline.into_schedule();
+                let (psi, upsilon) = timeline.quality();
                 return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-                    .with_jobs([unplaced])
-                    .with_partial(
-                        metrics::psi(&partial, jobs),
-                        metrics::upsilon(&partial, jobs),
-                    ));
+                    .with_jobs([all[idx].id()])
+                    .with_partial(psi, upsilon));
             }
         }
         Ok(timeline.into_schedule())

@@ -13,17 +13,44 @@
 //! allocator. Rather than degrading into a recursive displacement search,
 //! it reports an [`Infeasible`] diagnostic naming the congested jobs when
 //! the neighbourhood does not fit; [`repair_neighbourhood`] escalates
-//! from exactly those diagnostics, and [`repair_or_resynthesize`] falls
-//! back to a full Algorithm 1 run — the paper's offline method. The
-//! online service layers admission control and shedding on top
-//! (`tagio-online`); [`RepairSolver`] packages the whole ladder as a
-//! budgeted [`Solve`] implementation.
+//! from exactly those jobs, and [`repair_or_resynthesize`] falls back to
+//! a full Algorithm 1 run — the paper's offline method. The online
+//! service layers admission control and shedding on top (`tagio-online`);
+//! [`RepairSolver`] packages the whole ladder as a budgeted [`Solve`]
+//! implementation.
+//!
+//! # Which diagnostics carry partial Ψ/Υ
+//!
+//! Like the paper's allocator, every tier stops rather than recursing
+//! (§III.A), so a failure is a verdict plus a diagnostic — and most
+//! diagnostics are never read. The ladder therefore prices a partial
+//! result only where someone can read it:
+//!
+//! * [`repair`] / [`repair_in`] and [`retime`] return the congested jobs
+//!   with the partial Ψ/Υ of their failed attempt.
+//! * [`repair_neighbourhood`] / [`repair_neighbourhood_in`] return the
+//!   *last* round's congested jobs and partial Ψ/Υ, computed once for
+//!   that round; the earlier rounds only collect the jobs they widen
+//!   from, and no round widens after the last.
+//! * The ladder ([`repair_or_resynthesize_with`] and friends) surfaces
+//!   the incremental diagnostic only when its budget or cancellation
+//!   flag stops it before re-synthesis. Under a context with neither
+//!   (the online service's), the incremental tiers run verdict-only: the
+//!   final round stops at its first unplaceable job and the discarded
+//!   failure carries just its cause. A failing ladder then reports the
+//!   re-synthesis tier's diagnostic (the unplaceable job and the partial
+//!   Ψ/Υ of Algorithm 1's committed placements), exactly as before.
+//!
+//! Partial Ψ/Υ are read straight from the failed timeline's placements
+//! in `O(n)` and are bit-identical to `metrics::psi`/`metrics::upsilon`
+//! of the partial schedule. Under the `debug-audit` feature both fast
+//! paths are shadow-checked: the verdict-only tiers against a
+//! full-diagnostics re-run, the partial Ψ/Υ against the metrics.
 
-use super::lccd::{SlotPolicy, Timeline, TimelineScratch};
+use super::lccd::{placements_quality, SlotPolicy, Timeline, TimelineScratch};
 use super::StaticScheduler;
 use crate::scheduler::Scheduler;
 use crate::solve::Solve;
-use std::collections::{HashMap, HashSet};
 use tagio_core::job::{JobId, JobSet};
 use tagio_core::metrics;
 use tagio_core::schedule::Schedule;
@@ -41,21 +68,57 @@ use tagio_core::time::{Duration, Time};
 /// those collections' capacity across calls. Every buffer is cleared
 /// before use: a reused scratch produces bit-identical results to a
 /// fresh (`Default`) one, which is what the plain entry points pass.
+///
+/// Per-job and per-task state is index-addressed (job index in the
+/// [`JobSet`], task rank among the re-placed jobs' sorted task ids), so
+/// a repair round does no hashing, and everything that only depends on
+/// the base schedule is derived once per ladder call rather than once
+/// per round.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
-    disturbed: HashSet<JobId>,
+    /// The base schedule's `(job, start)` pairs, sorted by job id.
     base_starts: Vec<(JobId, Time)>,
+    /// Per job: its base start, when that placement is still feasible.
+    pinnable: Vec<Option<Time>>,
+    /// The distinct tasks of the jobs a round re-places, sorted: the
+    /// per-task tables below are indexed by rank in this list.
+    task_ids: Vec<TaskId>,
+    /// Per job: re-place it even when pinnable (the disturbed set, which
+    /// escalation widens).
+    disturbed: Vec<bool>,
+    disturbed_ids: Vec<JobId>,
     pinned: Vec<(usize, Time)>,
     to_place: Vec<usize>,
-    intervals: Vec<(Time, Time, JobId)>,
-    offsets: HashMap<TaskId, Duration>,
-    unplaceable: Vec<JobId>,
-    failed_tasks: HashSet<TaskId>,
-    escalated: HashSet<JobId>,
-    escalated_vec: Vec<JobId>,
+    intervals: Vec<(Time, Time, JobId, usize)>,
+    /// Per task: offset from release of its last placed job.
+    offsets: Vec<Option<Duration>>,
+    /// Per task: an allocation already failed this round.
+    failed_tasks: Vec<bool>,
+    /// Jobs named by the last failed round.
+    failed: Vec<usize>,
     windows: Vec<(Time, Time)>,
     order: Vec<(Time, usize)>,
+    starts: Vec<Option<Time>>,
     timeline: TimelineScratch,
+}
+
+/// How much of a failure the caller reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Diagnose {
+    /// The congested jobs and the partial Ψ/Υ.
+    Full,
+    /// Only that it failed: the last attempt stops at its first
+    /// unplaceable job and the error carries just the cause.
+    VerdictOnly,
+}
+
+/// Which placements a failed round's partial Ψ/Υ prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Failure {
+    /// Pinned placements overlap; the partial is the pins alone.
+    Overlap,
+    /// Some job found no slot; the partial is the round's timeline.
+    Unplaced,
 }
 
 /// How a repaired schedule was obtained.
@@ -93,7 +156,7 @@ pub fn repair(
     disturbed: &[JobId],
     policy: SlotPolicy,
 ) -> Result<(Schedule, usize), Infeasible> {
-    try_repair(jobs, base, disturbed, policy, &mut RepairScratch::default())
+    repair_in(jobs, base, disturbed, policy, &mut RepairScratch::default())
 }
 
 /// [`repair`], recycling the working memory of `scratch` across calls.
@@ -110,7 +173,7 @@ pub fn repair_in(
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
-    try_repair(jobs, base, disturbed, policy, scratch)
+    try_repair(jobs, base, disturbed, policy, scratch, Diagnose::Full)
 }
 
 /// `(job, start)` pairs of a schedule, sorted by job id for binary
@@ -128,62 +191,82 @@ fn lookup_start(starts: &[(JobId, Time)], job: JobId) -> Option<Time> {
         .map(|i| starts[i].1)
 }
 
+/// Derives the pinnable base start of every job into `scratch` and
+/// clears the disturbed set. The base is fixed across escalation rounds,
+/// so this runs once per call.
+fn prepare(jobs: &JobSet, base: &Schedule, scratch: &mut RepairScratch) {
+    // Sorted lookup table instead of a HashMap: binary search over a
+    // sorted Vec is markedly cheaper than hashing per job.
+    sorted_starts_into(base, &mut scratch.base_starts);
+    let all = jobs.as_slice();
+    let starts = &scratch.base_starts;
+    scratch.pinnable.clear();
+    scratch.pinnable.extend(
+        all.iter()
+            .map(|job| lookup_start(starts, job.id()).filter(|&s| job.start_feasible(s))),
+    );
+    scratch.disturbed.clear();
+    scratch.disturbed.resize(all.len(), false);
+}
+
 fn try_repair(
     jobs: &JobSet,
     base: &Schedule,
     disturbed: &[JobId],
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
+    diagnose: Diagnose,
 ) -> Result<(Schedule, usize), Infeasible> {
-    scratch.disturbed.clear();
-    scratch.disturbed.extend(disturbed.iter().copied());
-    // Sorted lookup table instead of a HashMap: repair sits on the hot
-    // path of every online event, and binary search over a sorted Vec is
-    // markedly cheaper than hashing per job.
-    sorted_starts_into(base, &mut scratch.base_starts);
+    prepare(jobs, base, scratch);
+    scratch.disturbed_ids.clear();
+    scratch.disturbed_ids.extend_from_slice(disturbed);
+    scratch.disturbed_ids.sort_unstable();
+    for (job, flag) in jobs.iter().zip(&mut scratch.disturbed) {
+        *flag = scratch.disturbed_ids.binary_search(&job.id()).is_ok();
+    }
+    try_round(jobs, policy, scratch, diagnose).map_err(|f| report(jobs, scratch, f, diagnose))
+}
 
+/// One repair attempt over the prepared tables: pin every pinnable job
+/// outside the disturbed set, re-place the rest. On failure the jobs to
+/// name are in `scratch.failed`, and the placements to price stay in
+/// `scratch` (see [`report`]).
+fn try_round(
+    jobs: &JobSet,
+    policy: SlotPolicy,
+    scratch: &mut RepairScratch,
+    diagnose: Diagnose,
+) -> Result<(Schedule, usize), Failure> {
     let all = jobs.as_slice();
     scratch.pinned.clear();
     scratch.to_place.clear();
-    for (idx, job) in all.iter().enumerate() {
-        match lookup_start(&scratch.base_starts, job.id()) {
-            Some(start) if !scratch.disturbed.contains(&job.id()) && job.start_feasible(start) => {
-                scratch.pinned.push((idx, start));
-            }
+    scratch.failed.clear();
+    for (idx, (&pin, &disturbed)) in scratch.pinnable.iter().zip(&scratch.disturbed).enumerate() {
+        match pin {
+            Some(start) if !disturbed => scratch.pinned.push((idx, start)),
             _ => scratch.to_place.push(idx),
         }
     }
 
     // Pinned placements must still be mutually disjoint under the jobs'
     // *current* WCETs; if not, the disturbance reaches beyond the declared
-    // neighbourhood and repair cannot help. The diagnostic names the
+    // neighbourhood and repair cannot help. The failure names the
     // overlapping placements so escalation frees exactly those pockets.
     scratch.intervals.clear();
     scratch.intervals.extend(
         scratch
             .pinned
             .iter()
-            .map(|&(i, start)| (start, start + all[i].wcet(), all[i].id())),
+            .map(|&(i, start)| (start, start + all[i].wcet(), all[i].id(), i)),
     );
     scratch.intervals.sort_unstable();
-    let overlapping: Vec<JobId> = scratch
-        .intervals
-        .windows(2)
-        .filter(|w| w[0].1 > w[1].0)
-        .flat_map(|w| [w[0].2, w[1].2])
-        .collect();
-    if !overlapping.is_empty() {
-        let partial: Schedule = scratch
-            .pinned
-            .iter()
-            .map(|&(i, start)| tagio_core::schedule::entry_for(&all[i], start))
-            .collect();
-        return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-            .with_jobs(overlapping)
-            .with_partial(
-                metrics::psi(&partial, jobs),
-                metrics::upsilon(&partial, jobs),
-            ));
+    for w in scratch.intervals.windows(2) {
+        if w[0].1 > w[1].0 {
+            scratch.failed.extend([w[0].3, w[1].3]);
+        }
+    }
+    if !scratch.failed.is_empty() {
+        return Err(Failure::Overlap);
     }
 
     let mut timeline = Timeline::with_placements_in(jobs, &scratch.pinned, &mut scratch.timeline);
@@ -200,21 +283,29 @@ fn try_repair(
     // Periodicity fast path: once one job of a task is placed, its later
     // jobs usually fit at the same relative offset (the schedule repeats,
     // §III.C) — an O(log n) probe instead of a full slot allocation.
-    // `to_place` keeps a task's jobs consecutive (same priority, release
-    // order), so one offset per task suffices.
+    scratch.task_ids.clear();
+    scratch
+        .task_ids
+        .extend(scratch.to_place.iter().map(|&i| all[i].id().task));
+    scratch.task_ids.sort_unstable();
+    scratch.task_ids.dedup();
+    let tasks = scratch.task_ids.len();
     scratch.offsets.clear();
-    scratch.unplaceable.clear();
+    scratch.offsets.resize(tasks, None);
     scratch.failed_tasks.clear();
+    scratch.failed_tasks.resize(tasks, false);
     for pos in 0..scratch.to_place.len() {
         let idx = scratch.to_place[pos];
         let job = &all[idx];
+        let task = scratch
+            .task_ids
+            .binary_search(&job.id().task)
+            .unwrap_or_else(|rank| rank);
         if timeline.try_place_ideal(idx) {
-            scratch
-                .offsets
-                .insert(job.id().task, job.ideal_start() - job.release());
+            scratch.offsets[task] = Some(job.ideal_start() - job.release());
             continue;
         }
-        if let Some(&offset) = scratch.offsets.get(&job.id().task) {
+        if let Some(offset) = scratch.offsets[task] {
             if timeline.try_place_at(idx, job.release() + offset) {
                 continue;
             }
@@ -224,34 +315,51 @@ fn try_repair(
         // gets only the cheap probes above for its remaining jobs — those
         // skips fail the attempt but do NOT become escalation seeds (they
         // would smear the neighbourhood across the whole hyper-period).
-        if scratch.failed_tasks.contains(&job.id().task) {
+        if scratch.failed_tasks[task] {
             continue;
         }
         let pending = &scratch.to_place[pos + 1..];
-        if !timeline.allocate(idx, pending, policy) {
-            scratch.unplaceable.push(job.id());
-            scratch.failed_tasks.insert(job.id().task);
-            continue;
+        match timeline.allocate_start(idx, pending, policy) {
+            Some(start) => scratch.offsets[task] = Some(start - job.release()),
+            None => {
+                scratch.failed.push(idx);
+                scratch.failed_tasks[task] = true;
+                if diagnose == Diagnose::VerdictOnly {
+                    break;
+                }
+            }
         }
-        let Some(start) = timeline.start_of(idx) else {
-            // `allocate` reported success, so the slot exists; if it ever
-            // does not, record the job as unplaceable instead of panicking.
-            scratch.unplaceable.push(job.id());
-            scratch.failed_tasks.insert(job.id().task);
-            continue;
-        };
-        scratch.offsets.insert(job.id().task, start - job.release());
     }
-    if !scratch.unplaceable.is_empty() {
-        let partial = timeline.into_schedule_in(&mut scratch.timeline);
-        return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
-            .with_jobs(scratch.unplaceable.iter().copied())
-            .with_partial(
-                metrics::psi(&partial, jobs),
-                metrics::upsilon(&partial, jobs),
-            ));
+    if scratch.failed.is_empty() {
+        Ok((timeline.into_schedule_in(&mut scratch.timeline), replaced))
+    } else {
+        timeline.recycle_in(&mut scratch.timeline);
+        Err(Failure::Unplaced)
     }
-    Ok((timeline.into_schedule_in(&mut scratch.timeline), replaced))
+}
+
+/// The diagnostic of the round that just failed: its named jobs and the
+/// partial Ψ/Υ of its placements, or the bare cause when nobody reads
+/// more.
+fn report(
+    jobs: &JobSet,
+    scratch: &mut RepairScratch,
+    failure: Failure,
+    diagnose: Diagnose,
+) -> Infeasible {
+    let out = Infeasible::new(InfeasibleCause::NoFeasibleSlot);
+    if diagnose == Diagnose::VerdictOnly {
+        return out;
+    }
+    let (psi, upsilon) = match failure {
+        Failure::Overlap => {
+            placements_quality(jobs, scratch.pinned.iter().copied(), &mut scratch.starts)
+        }
+        Failure::Unplaced => scratch.timeline.recycled_quality(jobs, &mut scratch.starts),
+    };
+    let all = jobs.as_slice();
+    out.with_jobs(scratch.failed.iter().map(|&i| all[i].id()))
+        .with_partial(psi, upsilon)
 }
 
 /// Minimal-shift re-timing: keep the base schedule's *execution order*
@@ -306,9 +414,10 @@ pub fn retime_in(
         let job = &all[idx];
         let start = base_start.max(cursor).max(job.release());
         if start > job.latest_start() {
+            let (psi, upsilon) = metrics::quality(&out, jobs);
             return Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot)
                 .with_jobs([job.id()])
-                .with_partial(metrics::psi(&out, jobs), metrics::upsilon(&out, jobs)));
+                .with_partial(psi, upsilon));
         }
         out.insert(tagio_core::schedule::ScheduleEntry {
             job: job.id(),
@@ -321,12 +430,12 @@ pub fn retime_in(
 }
 
 /// Escalated repair: run the plain repair once to learn exactly *where*
-/// it fails — the jobs its [`Infeasible`] diagnostic names (no slot
-/// found, or pinned placements a WCET change made overlap) — then widen
-/// the disturbed set to those congested pockets (every job whose window
-/// overlaps a failed job's window) and re-place just that neighbourhood.
-/// Bounded rounds only; beyond them a full re-synthesis is cheaper than
-/// chasing transitive closures.
+/// it fails — the jobs it names (no slot found, or pinned placements a
+/// WCET change made overlap) — then widen the disturbed set to those
+/// congested pockets (every job whose window overlaps a failed job's
+/// window) and re-place just that neighbourhood. Bounded rounds only;
+/// beyond them a full re-synthesis is cheaper than chasing transitive
+/// closures.
 ///
 /// # Errors
 /// The final round's diagnostic when every escalation round failed or
@@ -350,57 +459,70 @@ pub fn repair_neighbourhood_in(
     policy: SlotPolicy,
     scratch: &mut RepairScratch,
 ) -> Result<(Schedule, usize), Infeasible> {
-    scratch.escalated.clear();
-    let mut last_failure = None;
-    // Round 0 is the plain repair; each later round frees the pockets the
-    // previous round's failures pointed at. Three rounds bound the cost —
-    // past that, a full re-synthesis is the better spend.
-    for _round in 0..3 {
-        // `try_repair` needs the whole scratch, so the escalation set is
-        // snapshotted into a taken-out buffer for the duration of a round.
-        let mut as_vec = std::mem::take(&mut scratch.escalated_vec);
-        as_vec.clear();
-        as_vec.extend(scratch.escalated.iter().copied());
-        // The set iterates in arbitrary order; sort so the disturbed
-        // list handed to `try_repair` is identical run-to-run.
-        as_vec.sort_unstable();
-        let attempt = try_repair(jobs, base, &as_vec, policy, scratch);
-        scratch.escalated_vec = as_vec;
-        let failure = match attempt {
+    neighbourhood(jobs, base, policy, scratch, Diagnose::Full)
+}
+
+/// Escalation rounds: round 0 is the plain repair; each later round frees
+/// the pockets the previous round's failures pointed at. Three rounds
+/// bound the cost — past that, a full re-synthesis is the better spend.
+const ROUNDS: usize = 3;
+
+fn neighbourhood(
+    jobs: &JobSet,
+    base: &Schedule,
+    policy: SlotPolicy,
+    scratch: &mut RepairScratch,
+    diagnose: Diagnose,
+) -> Result<(Schedule, usize), Infeasible> {
+    prepare(jobs, base, scratch);
+    for round in 0..ROUNDS {
+        let last = round + 1 == ROUNDS;
+        // Only the last round's failure can be returned, so earlier rounds
+        // run to completion: widening needs every job they name.
+        let round_diagnose = if last { diagnose } else { Diagnose::Full };
+        match try_round(jobs, policy, scratch, round_diagnose) {
             Ok(done) => return Ok(done),
-            Err(failure) => failure,
-        };
-        let mut windows = std::mem::take(&mut scratch.windows);
-        windows.clear();
-        let mut grew = false;
-        for &id in &failure.jobs {
-            // Failure diagnostics name real jobs; skip any that are not
-            // (an unknown id cannot widen the neighbourhood anyway).
-            let Some(job) = jobs.get(id) else { continue };
-            windows.push((job.release(), job.abs_deadline()));
-            grew |= scratch.escalated.insert(id);
-        }
-        // Free every pinned job inside the congested windows. (Jobs with
-        // no feasible base placement are re-placed regardless, so only
-        // pinned jobs need explicit entries.)
-        for job in jobs {
-            if scratch.escalated.contains(&job.id()) {
-                continue;
+            // Stuck when the widening stops growing: the same failure
+            // would repeat verbatim.
+            Err(failure) if last || !widen(jobs, scratch) => {
+                return Err(report(jobs, scratch, failure, diagnose));
             }
-            let (lo, hi) = (job.release(), job.abs_deadline());
-            if windows.iter().any(|&(wlo, whi)| lo < whi && wlo < hi) {
-                grew |= scratch.escalated.insert(job.id());
-            }
-        }
-        scratch.windows = windows;
-        last_failure = Some(failure);
-        if !grew {
-            break; // stuck: the same failure would repeat verbatim
+            Err(_) => {}
         }
     }
-    // At least one round ran, so a failure was recorded; the fallback only
-    // exists to keep this path panic-free.
-    Err(last_failure.unwrap_or_else(|| Infeasible::new(InfeasibleCause::NoFeasibleSlot)))
+    // The last round always returns above; this only keeps the path
+    // panic-free.
+    Err(Infeasible::new(InfeasibleCause::NoFeasibleSlot))
+}
+
+/// Adds the failed round's jobs, and every job whose window overlaps one
+/// of theirs, to the disturbed set. (Jobs with no feasible base placement
+/// are re-placed regardless, so only pinned jobs matter.) Returns whether
+/// the set grew.
+fn widen(jobs: &JobSet, scratch: &mut RepairScratch) -> bool {
+    let all = jobs.as_slice();
+    scratch.windows.clear();
+    let mut grew = false;
+    for &idx in &scratch.failed {
+        let job = &all[idx];
+        scratch.windows.push((job.release(), job.abs_deadline()));
+        grew |= !std::mem::replace(&mut scratch.disturbed[idx], true);
+    }
+    for (job, disturbed) in all.iter().zip(&mut scratch.disturbed) {
+        if *disturbed {
+            continue;
+        }
+        let (lo, hi) = (job.release(), job.abs_deadline());
+        if scratch
+            .windows
+            .iter()
+            .any(|&(wlo, whi)| lo < whi && wlo < hi)
+        {
+            *disturbed = true;
+            grew = true;
+        }
+    }
+    grew
 }
 
 /// [`repair`], escalating to [`repair_neighbourhood`] and finally to a
@@ -462,14 +584,38 @@ pub fn repair_or_resynthesize_in(
     if let Err(cause) = budget.spend(1) {
         return Err(Infeasible::new(cause));
     }
-    // repair_neighbourhood embeds the plain attempt (it escalates from
-    // that attempt's failure diagnostics), so with no explicit disturbed
-    // set it covers both incremental tiers in one call.
-    let repaired = if disturbed.is_empty() {
-        repair_neighbourhood_in(jobs, base, policy, scratch)
+    // The incremental diagnostic surfaces only when the budget or the
+    // cancellation flag stops the ladder before re-synthesis; with
+    // neither, it is discarded and the tier needs only its verdict.
+    let diagnose = if ctx.is_budgeted() || ctx.is_cancellable() {
+        Diagnose::Full
     } else {
-        try_repair(jobs, base, disturbed, policy, scratch)
+        Diagnose::VerdictOnly
     };
+    let repaired = incremental(jobs, base, disturbed, policy, scratch, diagnose);
+    #[cfg(feature = "debug-audit")]
+    if diagnose == Diagnose::VerdictOnly {
+        // Shadow check: the verdict-only tiers must decide exactly as a
+        // full-diagnostics run does.
+        let reference = incremental(
+            jobs,
+            base,
+            disturbed,
+            policy,
+            &mut RepairScratch::default(),
+            Diagnose::Full,
+        );
+        assert_eq!(
+            repaired.as_ref().ok(),
+            reference.as_ref().ok(),
+            "verdict-only repair changed the schedule"
+        );
+        assert_eq!(
+            repaired.as_ref().err().map(|e| e.cause),
+            reference.as_ref().err().map(|e| e.cause),
+            "verdict-only repair changed the failure cause"
+        );
+    }
     let incremental_failure = match repaired {
         Ok((schedule, replaced)) => {
             return Ok(RepairOutcome {
@@ -495,6 +641,24 @@ pub fn repair_or_resynthesize_in(
             replaced: jobs.len(),
             resynthesized: true,
         })
+}
+
+/// The incremental tiers: neighbourhood repair (which embeds the plain
+/// attempt and escalates from its failure) when no disturbed set is
+/// given, the plain repair of `disturbed` otherwise.
+fn incremental(
+    jobs: &JobSet,
+    base: &Schedule,
+    disturbed: &[JobId],
+    policy: SlotPolicy,
+    scratch: &mut RepairScratch,
+    diagnose: Diagnose,
+) -> Result<(Schedule, usize), Infeasible> {
+    if disturbed.is_empty() {
+        neighbourhood(jobs, base, policy, scratch, diagnose)
+    } else {
+        try_repair(jobs, base, disturbed, policy, scratch, diagnose)
+    }
 }
 
 /// The repair ladder as a named, budgeted [`Solve`] implementation:

@@ -10,17 +10,22 @@
 //! ladder entry points, comparing every reused-scratch outcome against
 //! the fresh-allocation path bit by bit (`Schedule`, replaced counts, and
 //! full `Infeasible` diagnostics alike).
+//!
+//! It also pins the `O(n)` partial Ψ/Υ that failure diagnostics carry
+//! to the bits of `metrics::psi`/`metrics::upsilon`.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tagio_core::job::{JobId, JobSet};
+use tagio_core::metrics;
+use tagio_core::schedule::{entry_for, Schedule};
 use tagio_core::solve::SolverCtx;
 use tagio_core::task::{DeviceId, IoTask, Priority, TaskId, TaskSet};
 use tagio_core::time::Duration;
 use tagio_sched::{
     repair, repair_in, repair_neighbourhood, repair_neighbourhood_in, repair_or_resynthesize_in,
     repair_or_resynthesize_with, retime, retime_in, RepairScratch, Scheduler, SlotPolicy,
-    StaticScheduler,
+    StaticScheduler, Timeline,
 };
 
 /// Builds a valid task from drawn parameters. The ideal offset sits in
@@ -123,6 +128,77 @@ proptest! {
             let fresh = repair_or_resynthesize_with(&jobs, &base, &[], policy, &ctx);
             let reused = repair_or_resynthesize_in(&jobs, &base, &[], policy, &ctx, &mut scratch);
             prop_assert_eq!(fresh, reused, "ladder diverged at step {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The O(n) partial-quality helper is bit-identical to `metrics::psi`
+    /// and `metrics::upsilon` on random partial schedules: random subsets
+    /// of the jobs, each at its ideal instant or anywhere in its window.
+    #[test]
+    fn partial_quality_matches_metrics_bits(
+        params in vec((0usize..4, 20u64..160, 0u64..251), 1..5),
+        picks in vec((0u32..4, 0u64..1000), 1..64),
+    ) {
+        let tasks: TaskSet = params
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, w, d))| pool_task(i as u32, p, w, d, i as u32))
+            .collect();
+        let jobs = JobSet::expand(&tasks);
+        let mut starts = vec![None; jobs.len()];
+        let mut partial = Schedule::new();
+        for (job, (start, &(mode, permille))) in jobs
+            .iter()
+            .zip(starts.iter_mut().zip(picks.iter().cycle()))
+        {
+            let at = match mode {
+                0 => continue, // unplaced
+                1 => job.ideal_start(),
+                _ => {
+                    let span = (job.latest_start() - job.release()).as_micros();
+                    job.release() + Duration::from_micros(span * permille / 1000)
+                }
+            };
+            *start = Some(at);
+            partial.insert(entry_for(job, at));
+        }
+        let (psi, upsilon) = metrics::quality_of_starts(&jobs, starts.iter().copied());
+        prop_assert_eq!(psi.to_bits(), metrics::psi(&partial, &jobs).to_bits());
+        prop_assert_eq!(upsilon.to_bits(), metrics::upsilon(&partial, &jobs).to_bits());
+    }
+
+    /// A timeline's partial Ψ/Υ — what `NoFeasibleSlot` diagnostics
+    /// carry — equals the metrics of its placements as a schedule.
+    #[test]
+    fn timeline_quality_matches_metrics_bits(
+        params in vec((0usize..4, 20u64..160, 0u64..251), 1..5),
+        keep in vec(0u32..3, 1..64),
+    ) {
+        let tasks: TaskSet = params
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, w, d))| pool_task(i as u32, p, w, d, i as u32))
+            .collect();
+        let jobs = JobSet::expand(&tasks);
+        // Infeasible draws have no valid schedule to take placements from.
+        if let Ok(full) = StaticScheduler::new().schedule(&jobs) {
+            // A subset of a valid schedule's placements never overlaps.
+            let placements: Vec<(usize, tagio_core::time::Time)> = jobs
+                .iter()
+                .enumerate()
+                .zip(keep.iter().cycle())
+                .filter(|&(_, &k)| k > 0)
+                .filter_map(|((idx, job), _)| full.start_of(job.id()).map(|s| (idx, s)))
+                .collect();
+            let timeline = Timeline::with_placements(&jobs, &placements);
+            let (psi, upsilon) = timeline.quality();
+            let partial = timeline.into_schedule();
+            prop_assert_eq!(psi.to_bits(), metrics::psi(&partial, &jobs).to_bits());
+            prop_assert_eq!(upsilon.to_bits(), metrics::upsilon(&partial, &jobs).to_bits());
         }
     }
 }
