@@ -20,6 +20,18 @@
 //! [`OnlineStats`] wall-clock durations vary run to run and are
 //! excluded by construction.
 //!
+//! [`schedule_digest`] is the uncached reference fold, and its format is
+//! unchanged. [`FleetScheduler::epoch_record`] and recovery's per-epoch
+//! check read [`OnlineScheduler::schedule_digest`] instead: a memo of
+//! the same value, filled on first read and cleared wherever a
+//! partition replaces its schedule (admission, the departure and
+//! mode-change shrink, spike and relief, the shed-everything spike
+//! reset, death; `new`, `bootstrap` and `restore` start with it empty).
+//! An epoch therefore hashes only the partitions it changed. Under
+//! `debug-audit` every memo read is re-derived through
+//! [`schedule_digest`] and compared. The stats digest is not memoised:
+//! it changes whenever a partition sees an event, and costs little.
+//!
 //! The snapshot text format is versioned (`tagio-fleet-snapshot v1`
 //! header line) and line-based, sharing its task encoding with the
 //! scenario trace dialect; `EXPERIMENTS.md` documents both formats.
@@ -32,11 +44,12 @@
 //! recovery flows are untouched — and the parser speaks both versions.
 
 use crate::fleet::{FleetConfig, FleetScheduler, FleetStats, PlacementPolicy};
-use crate::scenario::{format_event_body, parse_event_body};
+use crate::scenario::{parse_event_body, write_arrival_body};
 use crate::service::{OnlineScheduler, OnlineStats, RepairStrategy};
 use crate::tenant::{QosClass, TenantCounters, TenantId, TenantLedger, TenantRegistry, TenantSpec};
 use crate::wal::{EpochRecord, WalContents};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use tagio_core::event::SystemEvent;
 use tagio_core::job::JobId;
 use tagio_core::schedule::{Schedule, ScheduleEntry};
@@ -327,7 +340,9 @@ impl FleetSnapshot {
             || self.partitions.iter().any(|p| !p.stats.tenants.is_empty())
     }
 
-    /// Renders the snapshot in the versioned text format.
+    /// Renders the snapshot in the versioned text format. Every line is
+    /// encoded straight into one buffer (no per-line strings, no task
+    /// clones).
     #[must_use]
     pub fn write(&self) -> String {
         let v2 = self.has_tenant_state();
@@ -338,34 +353,37 @@ impl FleetSnapshot {
             SNAPSHOT_HEADER
         });
         out.push('\n');
-        out.push_str(&format!("epoch {}\n", self.epoch));
-        out.push_str(&format!(
-            "config policy={} retries={} threads={} seed={} strategy={} lean={}\n",
+        let _ = writeln!(out, "epoch {}", self.epoch);
+        let _ = writeln!(
+            out,
+            "config policy={} retries={} threads={} seed={} strategy={} lean={}",
             self.config.policy.as_str(),
             self.config.retries,
             self.config.threads,
             self.config.seed,
             strategy_str(self.config.strategy),
             self.config.lean,
-        ));
+        );
         for (tenant, spec) in self.config.tenants.iter() {
-            out.push_str(&format!(
-                "tenant {tenant} qos={} quota={} weight={}\n",
+            let _ = writeln!(
+                out,
+                "tenant {tenant} qos={} quota={} weight={}",
                 spec.qos.as_str(),
                 spec.quota_ppm,
                 spec.weight,
-            ));
+            );
         }
         for (tenant, deficit) in self.ledger.iter() {
-            out.push_str(&format!("deficit {tenant} {deficit}\n"));
+            let _ = writeln!(out, "deficit {tenant} {deficit}");
         }
         let [a, b, c, d] = self.rng_state;
-        out.push_str(&format!("rng {a} {b} {c} {d}\n"));
+        let _ = writeln!(out, "rng {a} {b} {c} {d}");
         let s = &self.stats;
-        out.push_str(&format!(
+        let _ = writeln!(
+            out,
             "fstats epochs={} events={} arrivals={} admitted={} rejected={} \
              duplicate_rejects={} retries={} retry_admissions={} migrations={} \
-             unrouted={} deaths={} orphaned={} rehomed={} lost={}\n",
+             unrouted={} deaths={} orphaned={} rehomed={} lost={}",
             s.epochs,
             s.events,
             s.arrivals,
@@ -380,50 +398,49 @@ impl FleetSnapshot {
             s.orphaned,
             s.rehomed,
             s.lost,
-        ));
+        );
         for (&cause, &count) in &s.reject_causes {
-            out.push_str(&format!("fcause {} {count}\n", cause.as_str()));
+            let _ = writeln!(out, "fcause {} {count}", cause.as_str());
         }
         for (&tenant, c) in &s.tenants {
-            out.push_str(&tenant_counter_line("ftenant", tenant, c));
+            write_tenant_counters(&mut out, "ftenant", tenant, c);
         }
         for (&id, &device) in &self.owner {
-            out.push_str(&format!("owner t{} d{}\n", id.0, device.0));
+            let _ = writeln!(out, "owner t{} d{}", id.0, device.0);
         }
         for (&device, &count) in &self.overload {
-            out.push_str(&format!("overload d{} {count}\n", device.0));
+            let _ = writeln!(out, "overload d{} {count}", device.0);
         }
         for p in &self.partitions {
-            out.push_str(&format!(
-                "partition d{} spike={}\n",
-                p.device.0, p.spike_percent
-            ));
+            let _ = writeln!(out, "partition d{} spike={}", p.device.0, p.spike_percent);
             for t in &p.active {
                 out.push_str("active ");
-                out.push_str(&format_event_body(&SystemEvent::Arrival(t.clone())));
+                write_arrival_body(&mut out, t);
                 out.push('\n');
             }
             for t in &p.pool {
                 out.push_str("pool ");
-                out.push_str(&format_event_body(&SystemEvent::Arrival(t.clone())));
+                write_arrival_body(&mut out, t);
                 out.push('\n');
             }
             for e in &p.entries {
-                out.push_str(&format!(
-                    "entry t{} j{} at={} c={}\n",
+                let _ = writeln!(
+                    out,
+                    "entry t{} j{} at={} c={}",
                     e.job.task.0,
                     e.job.index,
                     e.start.as_micros(),
                     e.duration.as_micros(),
-                ));
+                );
             }
             let ps = &p.stats;
-            out.push_str(&format!(
+            let _ = writeln!(
+                out,
                 "pstats arrivals={} admitted={} rejected={} fast_rejects={} \
                  shed_overload={} shed_infeasible={} departures={} repairs={} \
                  resyntheses={} fps_fallbacks={} shed={} spikes={} mode_changes={} \
                  ignored={} repair_time_us={} repair_events={} admission_time_us={} \
-                 admission_events={}\n",
+                 admission_events={}",
                 ps.arrivals,
                 ps.admitted,
                 ps.rejected,
@@ -442,12 +459,12 @@ impl FleetSnapshot {
                 ps.repair_events,
                 ps.admission_time.as_micros(),
                 ps.admission_events,
-            ));
+            );
             for (&cause, &count) in &ps.reject_causes {
-                out.push_str(&format!("pcause {} {count}\n", cause.as_str()));
+                let _ = writeln!(out, "pcause {} {count}", cause.as_str());
             }
             for (&tenant, c) in &ps.tenants {
-                out.push_str(&tenant_counter_line("ptenant", tenant, c));
+                write_tenant_counters(&mut out, "ptenant", tenant, c);
             }
             out.push_str("end\n");
         }
@@ -764,12 +781,14 @@ impl FleetSnapshot {
     }
 }
 
-/// One `ftenant`/`ptenant` line: every [`TenantCounters`] field, keyed.
-fn tenant_counter_line(verb: &str, tenant: TenantId, c: &TenantCounters) -> String {
-    format!(
-        "{verb} {tenant} arrivals={} admitted={} rejected={} shed={}\n",
+/// Appends one `ftenant`/`ptenant` line: every [`TenantCounters`]
+/// field, keyed.
+fn write_tenant_counters(out: &mut String, verb: &str, tenant: TenantId, c: &TenantCounters) {
+    let _ = writeln!(
+        out,
+        "{verb} {tenant} arrivals={} admitted={} rejected={} shed={}",
         c.arrivals, c.admitted, c.rejected, c.shed,
-    )
+    );
 }
 
 /// Parses a `tn<k>` tenant tag.
@@ -857,12 +876,7 @@ impl FleetScheduler {
             digests: self
                 .partitions()
                 .iter()
-                .map(|p| {
-                    (
-                        p.device(),
-                        (schedule_digest(p.schedule()), stats_digest(p.stats())),
-                    )
-                })
+                .map(|p| (p.device(), (p.schedule_digest(), stats_digest(p.stats()))))
                 .collect(),
         }
     }
@@ -919,7 +933,7 @@ impl FleetScheduler {
                         record.epoch
                     )
                 })?;
-                if schedule_digest(p.schedule()) != schedule {
+                if p.schedule_digest() != schedule {
                     return Err(format!(
                         "schedule divergence on {device} replaying epoch {}",
                         record.epoch

@@ -20,6 +20,7 @@ use crate::tenant::{TenantCounters, TenantRegistry, TenantSpec, PPM};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use tagio_core::event::{Mode, ModeId, SystemEvent, TimedEvent};
 use tagio_core::solve::InfeasibleCause;
 use tagio_core::task::{DeviceId, IoTask, TaskId, TaskSet, TenantId};
@@ -1145,58 +1146,66 @@ impl std::error::Error for TraceError {}
 pub fn format_trace(events: &[TimedEvent]) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&format!("@{} ", ev.at.as_micros()));
-        out.push_str(&format_event_body(&ev.event));
+        let _ = write!(out, "@{} ", ev.at.as_micros());
+        write_event_body(&mut out, &ev.event);
         out.push('\n');
     }
     out
 }
 
-/// Renders one event in the trace dialect, without the `@<micros>`
-/// timestamp — the shared body both [`format_trace`] and the WAL
-/// (`crate::wal`) emit.
-pub(crate) fn format_event_body(event: &SystemEvent) -> String {
+/// Appends one event in the trace dialect, without the `@<micros>`
+/// timestamp or a newline — the shared body both [`format_trace`] and
+/// the WAL (`crate::wal`) emit.
+pub(crate) fn write_event_body(out: &mut String, event: &SystemEvent) {
     match event {
-        SystemEvent::Arrival(t) => {
-            let mut line = format!(
-                "arrive t{} d{} c={} t={} dl={} o={} delta={} theta={} p={} vmax={} vmin={}",
-                t.id().0,
-                t.device().0,
-                t.wcet().as_micros(),
-                t.period().as_micros(),
-                t.deadline().as_micros(),
-                t.release_offset().as_micros(),
-                t.ideal_offset().as_micros(),
-                t.margin().as_micros(),
-                t.priority().0,
-                t.vmax(),
-                t.vmin(),
-            );
-            // Trace-format v2: the tenant tag rides as a trailing
-            // optional key. Anonymous arrivals omit it, so untenanted
-            // traces (and their WAL digests) stay byte-identical to v1.
-            if !t.tenant().is_anonymous() {
-                line.push_str(&format!(" tn={}", t.tenant().0));
-            }
-            line
+        SystemEvent::Arrival(t) => write_arrival_body(out, t),
+        SystemEvent::Departure(id) => {
+            let _ = write!(out, "depart t{}", id.0);
         }
-        SystemEvent::Departure(id) => format!("depart t{}", id.0),
         SystemEvent::ModeChange(mode) => {
-            let list = if mode.active.is_empty() {
-                "-".to_owned()
-            } else {
-                mode.active
-                    .iter()
-                    .map(|t| format!("t{}", t.0))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            format!("mode m{} {list}", mode.id.0)
+            let _ = write!(out, "mode m{} ", mode.id.0);
+            if mode.active.is_empty() {
+                out.push('-');
+            }
+            for (i, t) in mode.active.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "t{}", t.0);
+            }
         }
         SystemEvent::UtilisationSpike { device, percent } => {
-            format!("spike d{} {percent}", device.0)
+            let _ = write!(out, "spike d{} {percent}", device.0);
         }
-        SystemEvent::PartitionDeath { device } => format!("death d{}", device.0),
+        SystemEvent::PartitionDeath { device } => {
+            let _ = write!(out, "death d{}", device.0);
+        }
+    }
+}
+
+/// Appends the `arrive …` body of `t` — the task encoding the snapshot
+/// format (`crate::persist`) shares with traces and the WAL.
+pub(crate) fn write_arrival_body(out: &mut String, t: &IoTask) {
+    let _ = write!(
+        out,
+        "arrive t{} d{} c={} t={} dl={} o={} delta={} theta={} p={} vmax={} vmin={}",
+        t.id().0,
+        t.device().0,
+        t.wcet().as_micros(),
+        t.period().as_micros(),
+        t.deadline().as_micros(),
+        t.release_offset().as_micros(),
+        t.ideal_offset().as_micros(),
+        t.margin().as_micros(),
+        t.priority().0,
+        t.vmax(),
+        t.vmin(),
+    );
+    // Trace-format v2: the tenant tag rides as a trailing optional key.
+    // Anonymous arrivals omit it, so untenanted traces (and their WAL
+    // digests) stay byte-identical to v1.
+    if !t.tenant().is_anonymous() {
+        let _ = write!(out, " tn={}", t.tenant().0);
     }
 }
 
@@ -1232,7 +1241,7 @@ pub fn parse_trace(s: &str) -> Result<Vec<TimedEvent>, TraceError> {
 }
 
 /// Parses one event body (verb already split off) in the trace dialect —
-/// the shared inverse of [`format_event_body`], also used by the WAL
+/// the shared inverse of [`write_event_body`], also used by the WAL
 /// reader (`crate::wal`). Leaves any trailing tokens in `words` for the
 /// caller to reject.
 pub(crate) fn parse_event_body<'a>(

@@ -32,6 +32,7 @@
 
 use crate::tenant::{shed_rank, TenantCounters, TenantRegistry};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use tagio_core::event::{Mode, SystemEvent};
 use tagio_core::job::JobSet;
 use tagio_core::schedule::Schedule;
@@ -365,6 +366,11 @@ pub struct OnlineScheduler {
     quality: (f64, f64),
     /// Reused working memory for the repair ladder (lean mode only).
     scratch: RepairScratch,
+    /// Memoised [`crate::persist::schedule_digest`] of the live schedule:
+    /// filled on first read, cleared by [`Self::set_schedule`] — the one
+    /// place the schedule is replaced — so journaling an epoch hashes
+    /// only the partitions whose schedule changed.
+    digest: OnceLock<u64>,
     /// Tenant quotas and QoS classes consulted by overload shedding.
     /// The trivial (empty) registry reproduces the legacy quality-only
     /// shedding order exactly.
@@ -391,6 +397,7 @@ impl OnlineScheduler {
             quality: (1.0, 1.0),
             scratch: RepairScratch::default(),
             registry: TenantRegistry::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -443,7 +450,7 @@ impl OnlineScheduler {
         }
         svc.tasks = tasks;
         svc.jobs = jobs;
-        svc.schedule = schedule;
+        svc.set_schedule(schedule);
         svc.quality = metrics::quality(&svc.schedule, &svc.jobs);
         Ok(svc)
     }
@@ -494,6 +501,7 @@ impl OnlineScheduler {
             quality,
             scratch: RepairScratch::default(),
             registry: TenantRegistry::new(),
+            digest: OnceLock::new(),
         })
     }
 
@@ -538,6 +546,31 @@ impl OnlineScheduler {
     #[must_use]
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// [`crate::persist::schedule_digest`] of the live schedule, from the
+    /// memo when the schedule has not been replaced since the last read.
+    /// Under `debug-audit` every read is re-derived and compared.
+    #[must_use]
+    pub fn schedule_digest(&self) -> u64 {
+        let digest = *self
+            .digest
+            .get_or_init(|| crate::persist::schedule_digest(&self.schedule));
+        #[cfg(feature = "debug-audit")]
+        assert_eq!(
+            digest,
+            crate::persist::schedule_digest(&self.schedule),
+            "memoised schedule digest is stale on {}",
+            self.device
+        );
+        digest
+    }
+
+    /// Replaces the live schedule and clears the digest memo — every
+    /// schedule change goes through here.
+    fn set_schedule(&mut self, schedule: Schedule) {
+        self.schedule = schedule;
+        self.digest = OnceLock::new();
     }
 
     /// The live job set the schedule covers.
@@ -625,7 +658,7 @@ impl OnlineScheduler {
         self.pool.clear();
         self.spike_percent = 100;
         self.jobs = JobSet::from_jobs(Vec::new(), tagio_core::time::Duration::ZERO);
-        self.schedule = Schedule::new();
+        self.set_schedule(Schedule::new());
         self.cache.clear();
         self.quality = (1.0, 1.0);
         self.scratch = RepairScratch::default();
@@ -761,7 +794,7 @@ impl OnlineScheduler {
                 let resynthesized = outcome.resynthesized;
                 self.tasks = candidate;
                 self.jobs = jobs;
-                self.schedule = outcome.schedule;
+                self.set_schedule(outcome.schedule);
                 self.quality = metrics::quality(&self.schedule, &self.jobs);
                 self.pool.insert(id, nominal.retarget(self.device));
                 self.stats.admitted += 1;
@@ -866,7 +899,7 @@ impl OnlineScheduler {
         debug_assert!(schedule.validate(&jobs).is_ok());
         self.tasks = remaining;
         self.jobs = jobs;
-        self.schedule = schedule;
+        self.set_schedule(schedule);
         self.quality = metrics::quality(&self.schedule, &self.jobs);
     }
 
@@ -1006,7 +1039,7 @@ impl OnlineScheduler {
                 self.cache.clear(); // every WCET changed
                 self.tasks = candidate;
                 self.jobs = jobs;
-                self.schedule = schedule;
+                self.set_schedule(schedule);
                 self.quality = metrics::quality(&self.schedule, &self.jobs);
                 self.stats.shed += shed.len();
                 return EventOutcome::SpikeApplied { percent, shed };
@@ -1020,7 +1053,7 @@ impl OnlineScheduler {
                 self.cache.clear();
                 self.tasks = TaskSet::new();
                 self.jobs = JobSet::from_jobs(Vec::new(), tagio_core::time::Duration::ZERO);
-                self.schedule = Schedule::new();
+                self.set_schedule(Schedule::new());
                 self.quality = (1.0, 1.0);
                 self.stats.shed += shed.len();
                 return EventOutcome::SpikeApplied { percent, shed };
@@ -1663,6 +1696,122 @@ mod tests {
         match svc.apply(&SystemEvent::Arrival(mk(0, 8, 500, 2))) {
             EventOutcome::Admitted { task, .. } => assert_eq!(task, TaskId(0)),
             other => panic!("restart refused an arrival: {other:?}"),
+        }
+    }
+
+    /// Applies `event`, then checks the memoised digest against a fresh
+    /// [`crate::persist::schedule_digest`]. The memo is filled first, so
+    /// a schedule change that skipped the invalidation shows up stale; a
+    /// rejected arrival must leave the digest as it was.
+    fn apply_checking_digest(svc: &mut OnlineScheduler, event: &SystemEvent) -> EventOutcome {
+        let before = svc.schedule_digest();
+        let outcome = svc.apply(event);
+        let fresh = crate::persist::schedule_digest(svc.schedule());
+        assert_eq!(svc.schedule_digest(), fresh, "stale digest after {event:?}");
+        if matches!(outcome, EventOutcome::Rejected { .. }) {
+            assert_eq!(fresh, before, "a rejection changed the schedule");
+        }
+        outcome
+    }
+
+    #[test]
+    fn schedule_digest_memo_follows_every_schedule_change() {
+        let mut svc = service();
+        let bootstrapped = svc.schedule_digest();
+        assert_eq!(
+            bootstrapped,
+            crate::persist::schedule_digest(svc.schedule())
+        );
+        let out = apply_checking_digest(&mut svc, &SystemEvent::Arrival(mk(2, 8, 500, 3)));
+        assert!(
+            matches!(
+                out,
+                EventOutcome::Admitted {
+                    resynthesized: false,
+                    ..
+                }
+            ),
+            "admitted by repair: {out:?}"
+        );
+        assert_ne!(svc.schedule_digest(), bootstrapped);
+        for rejected in [hog(9), mk(2, 8, 500, 3)] {
+            let out = apply_checking_digest(&mut svc, &SystemEvent::Arrival(rejected));
+            assert!(matches!(out, EventOutcome::Rejected { .. }), "{out:?}");
+        }
+        let out = apply_checking_digest(&mut svc, &SystemEvent::Departure(TaskId(2)));
+        assert!(matches!(out, EventOutcome::Departed { .. }), "{out:?}");
+        for percent in [150, 100] {
+            let out = apply_checking_digest(
+                &mut svc,
+                &SystemEvent::UtilisationSpike {
+                    device: DeviceId(0),
+                    percent,
+                },
+            );
+            assert!(matches!(out, EventOutcome::SpikeApplied { .. }), "{out:?}");
+        }
+        for active in [vec![TaskId(0)], vec![TaskId(0), TaskId(1)]] {
+            let mode = Mode {
+                id: ModeId(1),
+                active,
+            };
+            let out = apply_checking_digest(&mut svc, &SystemEvent::ModeChange(mode));
+            assert!(matches!(out, EventOutcome::ModeChanged { .. }), "{out:?}");
+        }
+        let out = apply_checking_digest(
+            &mut svc,
+            &SystemEvent::PartitionDeath {
+                device: DeviceId(0),
+            },
+        );
+        assert!(matches!(out, EventOutcome::PartitionDied { .. }), "{out:?}");
+        assert!(svc.schedule().is_empty());
+
+        // Admissions by re-synthesis and by the FPS fallback, and the
+        // spike shedding they provoke: replay generated scenarios until
+        // both tiers have admitted.
+        let (mut resyntheses, mut fps_fallbacks) = (0, 0);
+        for seed in 0..64 {
+            let scenario = crate::scenario::Scenario::generate(&crate::scenario::ScenarioConfig {
+                arrivals: 16,
+                seed,
+                ..crate::scenario::ScenarioConfig::default()
+            });
+            let Ok(mut svc) = OnlineScheduler::bootstrap(scenario.device, scenario.base) else {
+                continue;
+            };
+            for ev in &scenario.events {
+                let _ = apply_checking_digest(&mut svc, &ev.event);
+            }
+            resyntheses += svc.stats().resyntheses;
+            fps_fallbacks += svc.stats().fps_fallbacks;
+            if resyntheses > 0 && fps_fallbacks > 0 {
+                break;
+            }
+        }
+        assert!(resyntheses > 0, "no admission by re-synthesis");
+        assert!(fps_fallbacks > 0, "no admission by the FPS fallback");
+
+        // A restored partition digests the schedule it was restored with.
+        use crate::fleet::{FleetConfig, FleetScheduler};
+        let mut bases = BTreeMap::new();
+        bases.insert(DeviceId(0), service().tasks().clone());
+        let mut live = FleetScheduler::bootstrap(
+            &bases,
+            FleetConfig {
+                threads: 1,
+                ..FleetConfig::default()
+            },
+        );
+        let _ = live.apply_batch(&[SystemEvent::Arrival(mk(2, 8, 500, 3))]);
+        let snapshot = crate::persist::FleetSnapshot::parse(&live.snapshot().write()).unwrap();
+        let restored = snapshot.restore().unwrap();
+        for (r, l) in restored.partitions().iter().zip(live.partitions()) {
+            assert_eq!(
+                r.schedule_digest(),
+                crate::persist::schedule_digest(r.schedule())
+            );
+            assert_eq!(r.schedule_digest(), l.schedule_digest());
         }
     }
 

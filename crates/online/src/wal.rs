@@ -26,9 +26,18 @@
 //! written: a crash mid-append leaves a torn tail that
 //! [`parse_wal`]/[`WalSource::load`] truncate (and flag) instead of
 //! failing, which is exactly the prefix a recovering fleet may trust.
+//!
+//! Journaling costs what the epoch changed. The commit line's schedule
+//! digests come from each partition's memo (see `crate::persist`), so
+//! an unchanged partition is not re-hashed, and [`write_record`]
+//! encodes a record straight into the sink's buffer. Neither changes a
+//! byte: [`format_record`] is a thin wrapper over [`write_record`], and
+//! the digest format is the one [`crate::persist::schedule_digest`]
+//! defines.
 
-use crate::scenario::{format_event_body, parse_event_body};
+use crate::scenario::{parse_event_body, write_event_body};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use tagio_core::event::{RoutedEvent, SystemEvent};
@@ -117,35 +126,43 @@ pub trait WalSource {
 #[must_use]
 pub fn format_record(record: &EpochRecord) -> String {
     let mut out = String::new();
-    out.push_str(&format!("epoch {}\n", record.epoch));
+    write_record(&mut out, record);
+    out
+}
+
+/// Appends one record in the WAL dialect to `out` — [`format_record`]
+/// without the intermediate string, so a sink encodes straight into
+/// its buffer.
+pub fn write_record(out: &mut String, record: &EpochRecord) {
+    let _ = writeln!(out, "epoch {}", record.epoch);
     for event in &record.events {
         out.push_str("ev ");
-        out.push_str(&format_event_body(event));
+        write_event_body(out, event);
         out.push('\n');
     }
     for routed in &record.routed {
-        let from = match routed.origin {
-            Some(d) => format!("d{}", d.0),
-            None => "-".to_owned(),
-        };
-        out.push_str(&format!(
-            "routed from={from} to=d{} attempt={} {}\n",
-            routed.target.0,
-            routed.attempt,
-            format_event_body(&routed.event),
-        ));
+        out.push_str("routed from=");
+        match routed.origin {
+            Some(d) => {
+                let _ = write!(out, "d{}", d.0);
+            }
+            None => out.push('-'),
+        }
+        let _ = write!(out, " to=d{} attempt={} ", routed.target.0, routed.attempt);
+        write_event_body(out, &routed.event);
+        out.push('\n');
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "commit {} seed={} events={}",
         record.epoch,
         record.seed,
         record.events.len()
-    ));
+    );
     for (device, (schedule, stats)) in &record.digests {
-        out.push_str(&format!(" d{}={schedule:016x}:{stats:016x}", device.0));
+        let _ = write!(out, " d{}={schedule:016x}:{stats:016x}", device.0);
     }
     out.push('\n');
-    out
 }
 
 /// Parses a whole log. A malformed *committed* record is an error; an
@@ -329,7 +346,7 @@ impl MemoryWal {
 
 impl WalSink for MemoryWal {
     fn append(&mut self, record: &EpochRecord) -> Result<(), WalError> {
-        self.text.push_str(&format_record(record));
+        write_record(&mut self.text, record);
         Ok(())
     }
 }
@@ -449,6 +466,72 @@ mod tests {
             ],
             digests,
         }
+    }
+
+    /// Every event kind, an empty mode list, a tenant-tagged arrival and
+    /// `routed` notes with and without an origin.
+    fn pinned_record() -> EpochRecord {
+        let mut record = every_kind_record(7);
+        let tagged = IoTask::builder(TaskId(9), DeviceId(1))
+            .wcet(Duration::from_micros(250))
+            .period(Duration::from_millis(16))
+            .ideal_offset(Duration::from_micros(4_500))
+            .margin(Duration::from_micros(1_250))
+            .quality(2.5, 0.25)
+            .tenant(tagio_core::task::TenantId(4))
+            .build()
+            .unwrap();
+        record.events.push(SystemEvent::Arrival(tagged));
+        record
+    }
+
+    const PINNED_RECORD: &str = "\
+epoch 7
+ev arrive t5 d0 c=125 t=8000 dl=8000 o=0 delta=5000 theta=1000 p=0 vmax=6 vmin=0.5
+ev depart t2
+ev mode m1 t0,t5
+ev mode m2 -
+ev spike d3 140
+ev death d0
+ev arrive t9 d1 c=250 t=16000 dl=16000 o=0 delta=4500 theta=1250 p=0 vmax=2.5 vmin=0.25 tn=4
+routed from=d0 to=d1 attempt=2 arrive t5 d1 c=125 t=8000 dl=8000 o=0 delta=5000 theta=1000 p=0 vmax=6 vmin=0.5
+routed from=- to=d0 attempt=0 depart t2
+commit 7 seed=2020 events=7 d0=deadbeef01020304:0a0b0c0d0e0f1011 d3=ffffffffffffffff:0000000000000000
+";
+
+    const PINNED_TRACE: &str = "\
+@0 arrive t5 d0 c=125 t=8000 dl=8000 o=0 delta=5000 theta=1000 p=0 vmax=6 vmin=0.5
+@250 depart t2
+@500 mode m1 t0,t5
+@750 mode m2 -
+@1000 spike d3 140
+@1250 death d0
+@1500 arrive t9 d1 c=250 t=16000 dl=16000 o=0 delta=4500 theta=1250 p=0 vmax=2.5 vmin=0.25 tn=4
+";
+
+    #[test]
+    fn encoder_bytes_are_pinned() {
+        let record = pinned_record();
+        assert_eq!(format_record(&record), PINNED_RECORD);
+        let timed: Vec<tagio_core::event::TimedEvent> = record
+            .events
+            .iter()
+            .zip(0u64..)
+            .map(|(event, i)| tagio_core::event::TimedEvent {
+                at: tagio_core::time::Time::from_micros(250 * i),
+                event: event.clone(),
+            })
+            .collect();
+        assert_eq!(crate::scenario::format_trace(&timed), PINNED_TRACE);
+        // The sink appends exactly the concatenated record texts.
+        let mut wal = MemoryWal::from_text("# journal\n");
+        wal.append(&record).unwrap();
+        wal.append(&every_kind_record(8)).unwrap();
+        let expected = format!(
+            "# journal\n{PINNED_RECORD}{}",
+            format_record(&every_kind_record(8))
+        );
+        assert_eq!(wal.text(), expected);
     }
 
     #[test]
